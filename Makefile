@@ -6,7 +6,7 @@ export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
 .PHONY: test test-fast test-full coverage scenarios docs-check bench \
 	bench-analysis bench-campaign bench-resume bench-multicore \
-	bench-chaos bench-serve chaos check examples serve-smoke
+	bench-chaos bench-serve bench-selftest chaos check examples serve-smoke
 
 # Tier-1: the full test suite.
 test:
@@ -55,8 +55,10 @@ docs-check:
 bench:
 	$(PYTHON) benchmarks/run_bench.py
 
-# Just the columnar-vs-list analysis aggregation bench (100K synthetic
-# reports); other entries in BENCH_pipeline.json are preserved.
+# Just the analysis aggregation bench (100K synthetic reports): the
+# columnar kernels vs the seed list implementations kept as the test
+# oracle (tests/list_analysis.py), results asserted equal; other entries
+# in BENCH_pipeline.json are preserved.
 bench-analysis:
 	$(PYTHON) benchmarks/run_bench.py --only analysis_aggregation
 
@@ -99,6 +101,13 @@ SERVE_REQUESTS ?= 2000
 bench-serve:
 	$(PYTHON) benchmarks/run_bench.py --only serving_latency \
 		--serve-requests $(SERVE_REQUESTS)
+
+# The benchmark's self-test (perfbench/): corrupted outputs must fail
+# the output checks, and a tiny traced run of every workload must reach
+# every layer it requires.  It fails when a traced callable is renamed
+# or loses its use site, so a refactor cannot silently zero a layer.
+bench-selftest:
+	$(PYTHON) perfbench/run.py --self-test
 
 # Serving smoke: boot the real service, run a scripted request session
 # (check, campaign job to completion, results download, health), then

@@ -422,15 +422,30 @@ def _synthetic_reports(n_reports: int, *, n_vantages: int = 5):
 def bench_analysis_aggregation(
     rounds: int, *, n_reports: int = 100_000
 ) -> dict[str, object]:
-    """The figure-feeding aggregations over 100K synthetic reports:
-    list-of-dataclasses path vs single-pass columnar kernels over the
-    same data in a :class:`ReportTable`, results asserted equal."""
+    """The figure-feeding aggregations over 100K synthetic reports: the
+    seed list-of-dataclasses implementations (the test oracle in
+    ``tests/list_analysis.py``) vs the single-pass columnar kernels over
+    the same data in a :class:`ReportTable`, results asserted equal."""
+    from types import SimpleNamespace
+
     from repro.analysis.extent import variation_extent
     from repro.analysis.locations import location_ratio_stats
     from repro.analysis.longitudinal import daily_extent, product_persistence
     from repro.analysis.products import ratio_vs_min_price
     from repro.analysis.ratios import domain_ratio_stats
     from repro.store import ReportTable, TableSlice
+
+    sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
+    from tests import list_analysis
+
+    kernels = SimpleNamespace(
+        variation_extent=variation_extent,
+        domain_ratio_stats=domain_ratio_stats,
+        location_ratio_stats=location_ratio_stats,
+        daily_extent=daily_extent,
+        product_persistence=product_persistence,
+        ratio_vs_min_price=ratio_vs_min_price,
+    )
 
     reports = _synthetic_reports(n_reports)
 
@@ -440,21 +455,23 @@ def bench_analysis_aggregation(
     build_ms = (time.perf_counter() - build_start) * 1000.0
     sliced = TableSlice(table)
 
-    def aggregate(data):
+    def aggregate(impl, data):
         return (
-            variation_extent(data),
-            domain_ratio_stats(data, only_variation=True),
-            location_ratio_stats(data),
-            daily_extent(data),
-            product_persistence(data),
-            ratio_vs_min_price(data),
+            impl.variation_extent(data),
+            impl.domain_ratio_stats(data, only_variation=True),
+            impl.location_ratio_stats(data),
+            impl.daily_extent(data),
+            impl.product_persistence(data),
+            impl.ratio_vs_min_price(data),
         )
 
-    if aggregate(reports) != aggregate(sliced):
+    if aggregate(list_analysis, reports) != aggregate(kernels, sliced):
         raise RuntimeError("columnar kernels diverged from the list path")
 
-    list_samples = _time_rounds(lambda: aggregate(reports), rounds)
-    columnar_samples = _time_rounds(lambda: aggregate(sliced), rounds)
+    list_samples = _time_rounds(
+        lambda: aggregate(list_analysis, reports), rounds
+    )
+    columnar_samples = _time_rounds(lambda: aggregate(kernels, sliced), rounds)
     list_mean = statistics.fmean(list_samples)
     columnar_mean = statistics.fmean(columnar_samples)
     return {

@@ -16,11 +16,11 @@ tuscanyleather).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 from repro.analysis.stats import BoxStats, grouped_box_stats, percentile
 from repro.core.reports import PriceCheckReport
-from repro.store import TableSlice, as_table_slice
+from repro.store import as_table_slice
 
 __all__ = [
     "location_ratio_stats",
@@ -35,19 +35,13 @@ def location_ratio_stats(
 ) -> dict[str, BoxStats]:
     """vantage name -> box stats of price(loc)/min(product) (Fig. 7)."""
     sliced = as_table_slice(reports)
-    if sliced is not None:
-        table = sliced.table
-        value = table.vantages.value
-        grouped: dict[int, list[float]] = {}
-        for i in sliced.rows:
-            for vid, ratio in table.ratios_by_vantage(i):
-                grouped.setdefault(vid, []).append(ratio)
-        samples = {value(vid): values for vid, values in grouped.items()}
-    else:
-        samples = {}
-        for report in reports:
-            for vantage, ratio in report.ratios_by_vantage().items():
-                samples.setdefault(vantage, []).append(ratio)
+    table = sliced.table
+    value = table.vantages.value
+    grouped: dict[int, list[float]] = {}
+    for i in sliced.rows:
+        for vid, ratio in table.ratios_by_vantage(i):
+            grouped.setdefault(vid, []).append(ratio)
+    samples = {value(vid): values for vid, values in grouped.items()}
     return grouped_box_stats(samples, min_samples=min_samples)
 
 
@@ -132,23 +126,6 @@ def _median_ratios_per_product(
     reports: Sequence[PriceCheckReport], domain: str
 ) -> dict[str, dict[str, float]]:
     sliced = as_table_slice(reports)
-    if sliced is not None:
-        return _median_ratios_kernel(sliced, domain)
-    acc: dict[str, dict[str, list[float]]] = {}
-    for report in reports:
-        if report.domain != domain:
-            continue
-        for vantage, ratio in report.ratios_by_vantage().items():
-            acc.setdefault(report.url, {}).setdefault(vantage, []).append(ratio)
-    return {
-        url: {vantage: percentile(values, 50) for vantage, values in ratios.items()}
-        for url, ratios in acc.items()
-    }
-
-
-def _median_ratios_kernel(
-    sliced: TableSlice, domain: str
-) -> dict[str, dict[str, float]]:
     table = sliced.table
     did = table.domains.id_of(domain)
     if did is None:
@@ -178,22 +155,15 @@ def finland_profile(
 ) -> dict[str, BoxStats]:
     """domain -> box stats of Finland's ratio-to-minimum (Fig. 9)."""
     sliced = as_table_slice(reports)
-    if sliced is not None:
-        table = sliced.table
-        fin_id = table.vantages.id_of(finland_vantage)
-        grouped: dict[int, list[float]] = {}
-        if fin_id is not None:
-            for i in sliced.rows:
-                for vid, ratio in table.ratios_by_vantage(i):
-                    if vid == fin_id:
-                        grouped.setdefault(table.domain_id[i], []).append(ratio)
-                        break
-        value = table.domains.value
-        samples = {value(did): values for did, values in grouped.items()}
-    else:
-        samples = {}
-        for report in reports:
-            ratios = report.ratios_by_vantage()
-            if finland_vantage in ratios:
-                samples.setdefault(report.domain, []).append(ratios[finland_vantage])
+    table = sliced.table
+    fin_id = table.vantages.id_of(finland_vantage)
+    grouped: dict[int, list[float]] = {}
+    if fin_id is not None:
+        for i in sliced.rows:
+            for vid, ratio in table.ratios_by_vantage(i):
+                if vid == fin_id:
+                    grouped.setdefault(table.domain_id[i], []).append(ratio)
+                    break
+    value = table.domains.value
+    samples = {value(did): values for did, values in grouped.items()}
     return grouped_box_stats(samples, min_samples=min_samples)

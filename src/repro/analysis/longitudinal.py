@@ -29,38 +29,22 @@ def daily_extent(
 ) -> dict[str, dict[int, float]]:
     """domain -> day_index -> fraction of that day's checks with variation."""
     sliced = as_table_slice(reports)
-    if sliced is not None:
-        table = sliced.table
-        ratio, guard = table.ratio, table.guard
-        totals: dict[tuple[int, int], int] = {}
-        varied: dict[tuple[int, int], int] = {}
-        for i in sliced.rows:
-            r = ratio[i]
-            if r is None:
-                continue
-            key = (table.domain_id[i], table.day_index[i])
-            totals[key] = totals.get(key, 0) + 1
-            if r > guard[i]:
-                varied[key] = varied.get(key, 0) + 1
-        value = table.domains.value
-        out: dict[str, dict[int, float]] = {}
-        for (did, day), total in totals.items():
-            out.setdefault(value(did), {})[day] = (
-                varied.get((did, day), 0) / total
-            )
-        return out
-    totals = {}
-    varied = {}
-    for report in reports:
-        if report.ratio is None:
+    table = sliced.table
+    ratio, guard = table.ratio, table.guard
+    totals: dict[tuple[int, int], int] = {}
+    varied: dict[tuple[int, int], int] = {}
+    for i in sliced.rows:
+        r = ratio[i]
+        if r is None:
             continue
-        key = (report.domain, report.day_index)
+        key = (table.domain_id[i], table.day_index[i])
         totals[key] = totals.get(key, 0) + 1
-        if report.has_variation:
+        if r > guard[i]:
             varied[key] = varied.get(key, 0) + 1
-    out = {}
-    for (domain, day), total in totals.items():
-        out.setdefault(domain, {})[day] = varied.get((domain, day), 0) / total
+    value = table.domains.value
+    out: dict[str, dict[int, float]] = {}
+    for (did, day), total in totals.items():
+        out.setdefault(value(did), {})[day] = varied.get((did, day), 0) / total
     return out
 
 
@@ -107,44 +91,25 @@ def product_persistence(
     if min_days < 2:
         raise ValueError("min_days must be >= 2 to speak of persistence")
     sliced = as_table_slice(reports)
-    if sliced is not None:
-        table = sliced.table
-        ratio, guard = table.ratio, table.guard
-        rounds_ids: dict[int, dict[int, list[bool]]] = {}
-        for i in sliced.rows:
-            r = ratio[i]
-            if r is None:
-                continue
-            rounds_ids.setdefault(table.domain_id[i], {}).setdefault(
-                table.url_id[i], []
-            ).append(r > guard[i])
-        value = table.domains.value
-        out: dict[str, float] = {}
-        for did, products_ids in rounds_ids.items():
-            eligible = [
-                flags for flags in products_ids.values()
-                if len(flags) >= min_days and any(flags)
-            ]
-            if not eligible:
-                continue
-            persistent = sum(1 for flags in eligible if all(flags))
-            out[value(did)] = persistent / len(eligible)
-        return out
-    rounds: dict[str, dict[str, list[bool]]] = {}
-    for report in reports:
-        if report.ratio is None:
+    table = sliced.table
+    ratio, guard = table.ratio, table.guard
+    rounds: dict[int, dict[int, list[bool]]] = {}
+    for i in sliced.rows:
+        r = ratio[i]
+        if r is None:
             continue
-        rounds.setdefault(report.domain, {}).setdefault(report.url, []).append(
-            report.has_variation
-        )
-    out = {}
-    for domain, products in rounds.items():
-        eligible = {
-            url: flags for url, flags in products.items()
+        rounds.setdefault(table.domain_id[i], {}).setdefault(
+            table.url_id[i], []
+        ).append(r > guard[i])
+    value = table.domains.value
+    out: dict[str, float] = {}
+    for did, products in rounds.items():
+        eligible = [
+            flags for flags in products.values()
             if len(flags) >= min_days and any(flags)
-        }
+        ]
         if not eligible:
             continue
-        persistent = sum(1 for flags in eligible.values() if all(flags))
-        out[domain] = persistent / len(eligible)
+        persistent = sum(1 for flags in eligible if all(flags))
+        out[value(did)] = persistent / len(eligible)
     return out

@@ -21,18 +21,13 @@ def domain_variation_counts(reports: Sequence[PriceCheckReport]) -> Counter:
     """domain -> number of reports whose variation beat the guard (Fig. 1)."""
     counts: Counter = Counter()
     sliced = as_table_slice(reports)
-    if sliced is not None:
-        table = sliced.table
-        ratio, guard, domain_id = table.ratio, table.guard, table.domain_id
-        value = table.domains.value
-        for i in sliced.rows:
-            r = ratio[i]
-            if r is not None and r > guard[i]:
-                counts[value(domain_id[i])] += 1
-        return counts
-    for report in reports:
-        if report.has_variation:
-            counts[report.domain] += 1
+    table = sliced.table
+    ratio, guard, domain_id = table.ratio, table.guard, table.domain_id
+    value = table.domains.value
+    for i in sliced.rows:
+        r = ratio[i]
+        if r is not None and r > guard[i]:
+            counts[value(domain_id[i])] += 1
     return counts
 
 
@@ -46,28 +41,18 @@ def domain_ratios(
     it every well-formed check contributes (Fig. 4 pools the full crawl).
     """
     sliced = as_table_slice(reports)
-    if sliced is not None:
-        table = sliced.table
-        ratio, guard, domain_id = table.ratio, table.guard, table.domain_id
-        value = table.domains.value
-        grouped: dict[int, list[float]] = {}
-        for i in sliced.rows:
-            r = ratio[i]
-            if r is None:
-                continue
-            if only_variation and r <= guard[i]:
-                continue
-            grouped.setdefault(domain_id[i], []).append(r)
-        return {value(did): values for did, values in grouped.items()}
-    out: dict[str, list[float]] = {}
-    for report in reports:
-        ratio = report.ratio
-        if ratio is None:
+    table = sliced.table
+    ratio, guard, domain_id = table.ratio, table.guard, table.domain_id
+    value = table.domains.value
+    grouped: dict[int, list[float]] = {}
+    for i in sliced.rows:
+        r = ratio[i]
+        if r is None:
             continue
-        if only_variation and not report.has_variation:
+        if only_variation and r <= guard[i]:
             continue
-        out.setdefault(report.domain, []).append(ratio)
-    return out
+        grouped.setdefault(domain_id[i], []).append(r)
+    return {value(did): values for did, values in grouped.items()}
 
 
 def domain_ratio_stats(

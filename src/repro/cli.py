@@ -42,9 +42,9 @@ from repro.analysis import (
     variation_extent,
 )
 from repro.exec import ExecConfig, reset_fleet_health
-from repro.exec.plan import PLANNERS
 from repro.experiments.context import SCALES, ExperimentContext
 from repro.fx.rates import RateService
+from repro.store import TableSlice
 
 __all__ = ["CliError", "main", "build_parser"]
 
@@ -86,10 +86,6 @@ def build_parser() -> argparse.ArgumentParser:
                             "dedicated worker processes, or decided from "
                             "the world's predicted live-work share "
                             "(default: local)")
-        p.add_argument("--planner", choices=PLANNERS, default="cost",
-                       help="shard planner: cost-aware bin packing or the "
-                            "stable-hash fallback (bytes are identical "
-                            "under either; default: cost)")
         p.add_argument("--max-worker-restarts", type=int, default=3,
                        metavar="N",
                        help="under --exec-mode process: how many times a "
@@ -165,11 +161,10 @@ def _exec_config(args: argparse.Namespace) -> Optional[ExecConfig]:
     """The ExecConfig the flags describe (None = sequential baseline)."""
     workers = getattr(args, "workers", 1)
     mode = getattr(args, "exec_mode", "local")
-    planner = getattr(args, "planner", "cost")
     if workers == 1 and mode == "local":
         return None
     return ExecConfig(
-        workers=workers, mode=mode, planner=planner,
+        workers=workers, mode=mode,
         max_worker_restarts=getattr(args, "max_worker_restarts", 3),
     )
 
@@ -266,9 +261,7 @@ def _cmd_crawl_scenario(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
     reset_fleet_health()
-    cell = GridCell(
-        mode=args.exec_mode, workers=args.workers, planner=args.planner
-    )
+    cell = GridCell(mode=args.exec_mode, workers=args.workers)
     result = run_cell(scenario, cell, seed=args.seed, keep_dataset=True)
     print(
         f"scenario {scenario.name} [{cell.label}]: "
@@ -355,7 +348,10 @@ def _analyze_crawl(dataset, *, seed: int) -> int:
     locations = location_ratio_stats(clean.kept)
     print(boxplot_rows(locations, width=44))
     print("\nFinland profile (Fig. 9):")
-    varied = [r for r in clean.kept if r.has_variation]
+    kept = clean.kept
+    varied = TableSlice(kept.table, [
+        i for i in kept.rows if kept.table.row_has_variation(i)
+    ])
     for domain, s in sorted(finland_profile(varied).items(),
                             key=lambda kv: kv[1].median):
         print(f"  {domain:38s} x{s.median:.3f}")

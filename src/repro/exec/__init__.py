@@ -5,13 +5,11 @@ The paper's workload is a day-batched fan-out: ~200K fetches across
 day's batch across N workers while keeping every report byte-identical
 to the sequential loop:
 
-* :class:`~repro.exec.plan.CostAwarePlanner` -- the default planner:
+* :class:`~repro.exec.plan.CostAwarePlanner` -- the shard planner:
   partitions the batch by retailer, bin-packing retailers onto shards so
   predicted per-shard cost (live fan-outs vs memo hits) equalizes;
-* :class:`~repro.exec.plan.ShardPlan` -- the stable-hash fallback
-  planner; each shard still owns disjoint retailer/session state;
-* :class:`~repro.exec.plan.ExecConfig` -- the ``workers``/``mode``/
-  ``planner`` knob carried by :func:`repro.crawler.run_crawl`,
+* :class:`~repro.exec.plan.ExecConfig` -- the ``workers``/``mode``
+  knob carried by :func:`repro.crawler.run_crawl`,
   :func:`repro.crowd.run_campaign`, and the CLI's ``--workers``
   (``--workers 0`` auto-sizes from ``os.cpu_count()``);
 * :class:`~repro.exec.local.LocalExecutor` -- in-process execution, the
@@ -34,8 +32,6 @@ from repro.exec.plan import (
     CostAwarePlanner,
     ExecConfig,
     ExecError,
-    ShardPlan,
-    make_planner,
 )
 from repro.exec.process import (
     FleetHealthScope,
@@ -52,9 +48,7 @@ __all__ = [
     "FleetHealthScope",
     "LocalExecutor",
     "ProcessExecutor",
-    "ShardPlan",
     "fleet_health",
     "install_fault_hook",
-    "make_planner",
     "reset_fleet_health",
 ]

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Callable, Optional, Sequence
 
-from repro.exec.plan import make_planner
+from repro.exec.plan import CostAwarePlanner
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.backend import ScheduledCheck, SheriffBackend
@@ -55,7 +55,7 @@ class LocalExecutor:
     """Run shards sequentially in-process, merging deterministically."""
 
     def __init__(self, workers: int = 1, *, plan=None) -> None:
-        self.plan = plan or make_planner("cost", workers)
+        self.plan = plan or CostAwarePlanner(workers)
 
     def run(
         self,

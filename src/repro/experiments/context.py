@@ -83,9 +83,9 @@ class ExperimentContext:
 
     ``exec_config`` shards the campaign and crawl fan-outs across workers
     (``repro.exec``); datasets are byte-identical at any worker count,
-    under either shard planner, so the figures cannot depend on it.  An
-    auto config (``workers=0`` / ``mode="auto"``) is resolved against
-    this context's world when each executor is created.
+    so the figures cannot depend on it.  An auto config (``workers=0`` /
+    ``mode="auto"``) is resolved against this context's world when each
+    executor is created.
 
     ``checkpoint_dir`` makes the dataset builds kill-safe: the campaign
     checkpoints into ``<dir>/campaign`` and the crawl into ``<dir>/crawl``

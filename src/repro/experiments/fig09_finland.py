@@ -6,6 +6,7 @@ from __future__ import annotations
 from repro.analysis.locations import finland_profile
 from repro.experiments.base import FigureResult
 from repro.experiments.context import ExperimentContext
+from repro.store import TableSlice
 
 #: The paper's two exceptions where Finland is (sometimes) the cheapest.
 PAPER_EXCEPTIONS = ("www.mauijim.com", "www.tuscanyleather.it")
@@ -22,7 +23,10 @@ def run(ctx: ExperimentContext) -> FigureResult:
         ),
         columns=("domain", "n", "median", "q25", "max"),
     )
-    varied = [r for r in ctx.crawl_clean.kept if r.has_variation]
+    kept = ctx.crawl_clean.kept
+    varied = TableSlice(kept.table, [
+        i for i in kept.rows if kept.table.row_has_variation(i)
+    ])
     profile = finland_profile(varied)
     for domain in sorted(profile, key=lambda d: profile[d].median):
         s = profile[domain]

@@ -90,7 +90,10 @@ class SheriffRequestHandler(BaseHTTPRequestHandler):
         self._send_json(status, {"error": message})
 
     def _read_json(self) -> dict:
-        length = int(self.headers.get("Content-Length") or 0)
+        try:
+            length = int(self.headers.get("Content-Length") or 0)
+        except ValueError:
+            raise BadRequest("Content-Length must be an integer")
         if length <= 0:
             raise BadRequest("request body required")
         if length > _MAX_BODY:

@@ -3,7 +3,8 @@
 * :mod:`repro.store.table` -- :class:`ReportTable` (parallel primitive
   columns + interned string pools + prefix-indexed observations),
   :class:`TableSlice` (lazy ``Sequence[PriceCheckReport]`` view), and
-  :func:`as_table_slice` (the analysis layer's kernel-dispatch hook).
+  :func:`as_table_slice` (any report sequence as the slice the analysis
+  kernels read).
 
 Both measurement datasets (:class:`repro.crawler.records.CrawlDataset`
 and :class:`repro.crowd.dataset.CrowdDataset`) are thin views over a

@@ -28,10 +28,9 @@ Derived indexes (:meth:`rows_by_domain`, :meth:`rows_by_url`,
 append bumps, so a growing table never serves a stale index.
 
 :class:`TableSlice` is an ordered, lazily-materializing view of a row
-subset.  It behaves as a ``Sequence[PriceCheckReport]`` -- old list-based
-call sites keep working -- while carrying ``(table, rows)`` so the
-analysis layer can dispatch to columnar kernels instead of walking
-dataclasses.
+subset.  It behaves as a ``Sequence[PriceCheckReport]`` while carrying
+``(table, rows)``, which is all the analysis kernels read;
+:func:`as_table_slice` turns any other report sequence into one.
 """
 
 from __future__ import annotations
@@ -589,9 +588,9 @@ class ReportTable:
 class TableSlice:
     """An ordered, lazily-materializing view of table rows.
 
-    Quacks like a ``Sequence[PriceCheckReport]`` so every list-based call
-    site keeps working, while exposing ``(table, rows)`` for the columnar
-    analysis kernels (see :func:`as_table_slice`).
+    Quacks like a ``Sequence[PriceCheckReport]`` for dataclass consumers,
+    while exposing ``(table, rows)`` for the columnar analysis kernels
+    (see :func:`as_table_slice`).
     """
 
     __slots__ = ("table", "rows")
@@ -621,15 +620,21 @@ class TableSlice:
         return f"TableSlice({len(self)} of {len(self.table)} rows)"
 
 
-def as_table_slice(reports) -> Optional[TableSlice]:
-    """The :class:`TableSlice` behind ``reports``, if it has one.
+def as_table_slice(reports) -> TableSlice:
+    """``reports`` as a :class:`TableSlice`, the analysis kernels' input.
 
-    The analysis adapters call this to dispatch: a slice (or a bare
-    table) routes to the single-pass columnar kernels, anything else
-    falls back to the seed list-based implementation.
+    A slice passes through and a bare table is wrapped whole.  Any other
+    sequence of reports is appended into a fresh table whose row cache
+    is seeded with the caller's own objects, so a cleaning guard written
+    through :meth:`ReportTable.set_guard` lands on them, and iterating
+    the slice hands them back.
     """
     if isinstance(reports, TableSlice):
         return reports
     if isinstance(reports, ReportTable):
         return TableSlice(reports)
-    return None
+    table = ReportTable()
+    rows = table._rows
+    for report in reports:
+        rows[table.append(report)] = report
+    return TableSlice(table)

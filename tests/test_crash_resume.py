@@ -125,8 +125,8 @@ class TestCampaignKillResumeGrid:
 
 @pytest.mark.slow
 class TestMultiWorkerKillInterplay:
-    """PR-8 interplay: kill a multi-worker checkpointed day mid-flight,
-    resume under a *different* worker count and shard planner.
+    """Kill a multi-worker checkpointed day mid-flight, resume under a
+    *different* worker count.
 
     Dedicated worker processes, the coordinator-folded shared memo, and
     the delta boundary must leave nothing on disk that a
@@ -136,34 +136,30 @@ class TestMultiWorkerKillInterplay:
     prefix.
     """
 
-    def test_cross_width_and_planner_resume_byte_identical(
-        self, tmp_path: Path
-    ):
+    def test_cross_width_resume_byte_identical(self, tmp_path: Path):
         reference = run_to_completion(
             _spec(tmp_path, "ref", campaign=GRID_CAMPAIGN)
         )
 
-        # Kill mid-day under the cost planner at width 2; resume under
-        # the stable planner at width 4.
+        # Kill mid-day at width 2; resume at width 4.
         run_until_killed(_spec(
             tmp_path, "wide", campaign=GRID_CAMPAIGN,
-            workers=2, mode="process", planner="cost",
+            workers=2, mode="process",
             kill={"point": "mid-day", "count": 4},
         ))
         resumed = run_to_completion(_spec(
             tmp_path, "wide", campaign=GRID_CAMPAIGN,
-            workers=4, mode="process", planner="stable", resume=True,
+            workers=4, mode="process", resume=True,
         ))
         _identical(
             reference, resumed,
-            "kill workers=2/process/cost, resume workers=4/process/stable",
+            "kill workers=2/process, resume workers=4/process",
         )
 
-        # Kill mid-flush under the stable planner at width 4; resume
-        # inline (no workers at all).
+        # Kill mid-flush at width 4; resume inline (no workers at all).
         run_until_killed(_spec(
             tmp_path, "inline", campaign=GRID_CAMPAIGN,
-            workers=4, mode="process", planner="stable",
+            workers=4, mode="process",
             kill={"point": "segment-flush", "count": 3},
         ))
         resumed = run_to_completion(_spec(
@@ -171,7 +167,7 @@ class TestMultiWorkerKillInterplay:
         ))
         _identical(
             reference, resumed,
-            "kill workers=4/process/stable, resume inline",
+            "kill workers=4/process, resume inline",
         )
 
 

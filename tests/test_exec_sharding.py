@@ -6,23 +6,23 @@ sequential run, for any N, in-process or across processes.  These tests
 assert the contract end to end -- dataset serialization compared as
 strings -- plus the pieces it rests on: stable shard assignment across
 processes, order-preserving partitions, and store-state equivalence.
+
+Byte identity must hold for *any* retailer-respecting partition, not just
+the one :class:`~repro.exec.CostAwarePlanner` picks.  :class:`ShardPlan`
+below -- a cost-blind ``hash(domain) % workers`` partition -- is the
+second witness: :class:`HashPlanConfig` hands it to the executors through
+their ``plan=`` argument.
 """
 
 from __future__ import annotations
 
 import json
 import os
-import subprocess
-import sys
 
 import pytest
 
 from repro.core.backend import CheckRequest, ScheduledCheck, SheriffBackend
 
-# The byte-identity suites below re-run whole crawls/campaigns per
-# worker count: full tier only (docs/TESTING.md).  The ShardPlan /
-# ExecConfig unit tests stay in the fast tier.
-slow = pytest.mark.slow
 from repro.crawler import CrawlConfig, build_plan, run_crawl
 from repro.crowd import CampaignConfig, run_campaign
 from repro.ecommerce.world import WorldConfig, WorldSpec, build_world
@@ -32,11 +32,53 @@ from repro.exec import (
     ExecError,
     LocalExecutor,
     ProcessExecutor,
-    ShardPlan,
-    make_planner,
 )
 from repro.exec.plan import LIVE_CHECK_COST, MEMO_HIT_COST
 from repro.io import report_to_dict
+from repro.net.urls import URL
+from repro.util import stable_hash
+
+# The byte-identity suites below re-run whole crawls/campaigns per
+# worker count: full tier only (docs/TESTING.md).  The planner /
+# ExecConfig unit tests stay in the fast tier.
+slow = pytest.mark.slow
+
+
+class ShardPlan:
+    """Stable partition of checks across ``workers`` shards by retailer:
+    shard = ``stable_hash(domain) % workers``, blind to cost."""
+
+    def __init__(self, workers: int) -> None:
+        if workers < 1:
+            raise ValueError("a shard plan needs at least one worker")
+        self.workers = workers
+
+    def shard_of(self, domain: str) -> int:
+        return stable_hash("shard", domain.lower()) % self.workers
+
+    def partition_batch(self, backend, scheduled):
+        """Per-shard slices, submission order kept inside each shard."""
+        shards = [[] for _ in range(self.workers)]
+        for sched in scheduled:
+            host = URL.parse(sched.request.url).host
+            shards[self.shard_of(host)].append(sched)
+        return shards
+
+
+class HashPlanConfig(ExecConfig):
+    """An :class:`ExecConfig` whose executors shard with :class:`ShardPlan`."""
+
+    def create(self, world):
+        config = self.resolve(world)
+        if config.mode == "local" and config.workers == 1:
+            return None
+        plan = ShardPlan(config.workers)
+        if config.mode == "local":
+            return LocalExecutor(config.workers, plan=plan)
+        return ProcessExecutor(
+            world, config.workers, plan=plan,
+            max_restarts=config.max_worker_restarts,
+        )
 
 
 def _tiny_world():
@@ -100,7 +142,7 @@ def _campaign_blob(exec_config) -> str:
 
 
 # ----------------------------------------------------------------------
-# ShardPlan
+# ShardPlan: the test-side witness must itself respect retailers
 # ----------------------------------------------------------------------
 class TestShardPlan:
     def test_partition_covers_all_and_preserves_order(self):
@@ -121,8 +163,7 @@ class TestShardPlan:
                     ),
                 ))
                 index += 1
-        plan = ShardPlan(4)
-        shards = plan.partition(scheduled)
+        shards = ShardPlan(4).partition_batch(None, scheduled)
         assert len(shards) == 4
         flat = [sched.index for shard in shards for sched in shard]
         assert sorted(flat) == list(range(len(scheduled)))
@@ -140,24 +181,6 @@ class TestShardPlan:
     def test_shard_of_case_insensitive(self):
         plan = ShardPlan(5)
         assert plan.shard_of("WWW.Amazon.COM") == plan.shard_of("www.amazon.com")
-
-    def test_stable_across_processes(self):
-        """The coordinator/worker agreement the whole design rests on."""
-        domains = ["www.amazon.com", "www.hotels.com", "www.digitalrev.com",
-                   "store.killah.com", "www.rightstart.com"]
-        local = [ShardPlan(4).shard_of(d) for d in domains]
-        code = (
-            "from repro.exec import ShardPlan; "
-            f"print([ShardPlan(4).shard_of(d) for d in {domains!r}])"
-        )
-        env = dict(os.environ)
-        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
-        env["PYTHONPATH"] = os.path.abspath(src) + os.pathsep + env.get("PYTHONPATH", "")
-        out = subprocess.run(
-            [sys.executable, "-c", code],
-            capture_output=True, text=True, env=env, check=True,
-        )
-        assert json.loads(out.stdout) == local
 
     def test_rejects_zero_workers(self):
         with pytest.raises(ValueError):
@@ -256,12 +279,6 @@ class TestCostAwarePlanner:
         with pytest.raises(ValueError):
             CostAwarePlanner(0)
 
-    def test_make_planner(self):
-        assert isinstance(make_planner("cost", 2), CostAwarePlanner)
-        assert isinstance(make_planner("stable", 2), ShardPlan)
-        with pytest.raises(ValueError):
-            make_planner("random", 2)
-
 
 # ----------------------------------------------------------------------
 # ExecConfig
@@ -275,6 +292,7 @@ class TestExecConfig:
     def test_local_workers_create_local_executor(self):
         executor = ExecConfig(workers=3).create(_tiny_world())
         assert isinstance(executor, LocalExecutor)
+        assert isinstance(executor.plan, CostAwarePlanner)
         assert executor.plan.workers == 3
 
     def test_process_mode_creates_process_executor(self):
@@ -289,8 +307,8 @@ class TestExecConfig:
             ExecConfig(workers=-1)
         with pytest.raises(ValueError):
             ExecConfig(mode="threads")
-        with pytest.raises(ValueError):
-            ExecConfig(planner="random")
+        with pytest.raises(TypeError):
+            ExecConfig(planner="stable")  # one planner, no knob
 
     def test_workers_zero_resolves_to_cpu_count(self, monkeypatch):
         monkeypatch.setattr(os, "cpu_count", lambda: 3)
@@ -350,16 +368,16 @@ class TestCrawlByteIdentity:
         assert blob == base_blob
 
     def test_planner_memo_executor_grid_identical(self):
-        """The PR-8 acceptance grid: executor x workers x memo x planner
-        all serialize to the sequential baseline's bytes."""
+        """The acceptance grid: executor x workers x memo x partition
+        (cost planner, stable hash) all serialize to the sequential
+        baseline's bytes."""
         base_blob, base_store = _crawl_blob(None)
-        for planner in ("cost", "stable"):
+        for planner, config_type in (("cost", ExecConfig),
+                                     ("hash", HashPlanConfig)):
             for mode in ("local", "process"):
                 for workers in (1, 2, 4):
                     for memo in (True, False):
-                        config = ExecConfig(
-                            workers=workers, mode=mode, planner=planner
-                        )
+                        config = config_type(workers=workers, mode=mode)
                         blob, store = _crawl_blob(config, memo=memo)
                         label = f"{mode}x{workers}/{planner}/memo={memo}"
                         assert blob == base_blob, f"{label} diverged"
@@ -382,11 +400,12 @@ class TestCampaignByteIdentity:
 
     def test_planners_identical(self):
         base = _campaign_blob(None)
-        for planner in ("cost", "stable"):
-            config = ExecConfig(workers=2, mode="process", planner=planner)
-            assert _campaign_blob(config) == base, planner
-            config = ExecConfig(workers=3, planner=planner)
-            assert _campaign_blob(config) == base, planner
+        for config_type in (ExecConfig, HashPlanConfig):
+            name = config_type.__name__
+            config = config_type(workers=2, mode="process")
+            assert _campaign_blob(config) == base, name
+            config = config_type(workers=3)
+            assert _campaign_blob(config) == base, name
 
 
 # ----------------------------------------------------------------------

@@ -16,6 +16,8 @@ Three tiers of proof:
 from __future__ import annotations
 
 import json
+import logging
+import socket
 import threading
 import urllib.error
 import urllib.request
@@ -34,6 +36,7 @@ class Client:
     """urllib wrapper that returns (status, body) instead of raising."""
 
     def __init__(self, port: int) -> None:
+        self.port = port
         self.base = f"http://127.0.0.1:{port}"
 
     def get(self, path: str) -> tuple[int, bytes]:
@@ -125,6 +128,29 @@ class TestRouteContract:
         assert status == 400
         status, _ = client.post("/checks", {"product": 1})
         assert status == 400
+
+    def test_non_numeric_content_length_is_400(self, served, caplog):
+        """Raw socket, since urllib always sends a valid Content-Length:
+        an unparseable one is a named 400, not a 500 plus a traceback."""
+        _, client = served
+        request = (
+            b"POST /checks HTTP/1.1\r\nHost: 127.0.0.1\r\n"
+            b"Content-Type: application/json\r\nContent-Length: abc\r\n"
+            b"Connection: close\r\n\r\n"
+        )
+        with caplog.at_level(logging.ERROR, logger="repro.serve"):
+            with socket.create_connection(
+                ("127.0.0.1", client.port), timeout=30
+            ) as sock:
+                sock.sendall(request)
+                reply = b""
+                while chunk := sock.recv(65536):
+                    reply += chunk
+        head, _, body = reply.partition(b"\r\n\r\n")
+        assert head.split(b"\r\n")[0] == b"HTTP/1.1 400 Bad Request"
+        assert json.loads(body) == {"error": "Content-Length must be an integer"}
+        assert not caplog.records
+        assert client.get("/healthz")[0] == 200
 
     def test_campaign_bad_spec_is_400(self, served):
         _, client = served

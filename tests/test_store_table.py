@@ -198,10 +198,21 @@ class TestTableSlice:
     def test_as_table_slice_dispatch(self):
         table = ReportTable()
         table.append(make_report())
-        assert as_table_slice(TableSlice(table)) is not None
-        assert as_table_slice(table) is not None
-        assert as_table_slice([make_report()]) is None
+        sliced = TableSlice(table)
+        assert as_table_slice(sliced) is sliced
+        assert as_table_slice(table).table is table
         assert as_table_slice(table).rows == range(1)
+        # Any other sequence becomes a fresh table over the caller's own
+        # objects: iteration returns them, guard writes reach them.
+        reports = [make_report(i) for i in range(3)]
+        built = as_table_slice(reports)
+        assert isinstance(built, TableSlice)
+        assert built.table is not table
+        assert all(a is b for a, b in zip(built, reports))
+        built.table.set_guard(1.5, [1])
+        assert [r.guard_threshold for r in reports] == [1.02, 1.5, 1.02]
+        assert built.table.guard[1] == 1.5
+        assert as_table_slice([]).rows == range(0)
 
     def test_empty_slice(self):
         sliced = TableSlice(ReportTable())

@@ -14,7 +14,7 @@ Tiers:
   campaign, quarantine of a poison shard, hang detection, the exception
   relay edge cases, and the startup/dispatch leak checks;
 * slow (PR CI, under ``make coverage``): the fault-point x victim x
-  planner x memo grid, seeded random chaos schedules, and the
+  memo grid, seeded random chaos schedules, and the
   checkpoint-composition test (coordinator SIGKILL at the
   ``worker-respawn`` barrier, then resume).
 """
@@ -80,8 +80,7 @@ def _crawl_blob(dataset) -> str:
     )
 
 
-def _run_campaign(faults=None, *, workers=4, planner="cost", memo=True,
-                  max_restarts=3):
+def _run_campaign(faults=None, *, workers=4, memo=True, max_restarts=3):
     """One campaign under a fault plan; returns (bytes, memo stats,
     this run's fleet health)."""
     reset_fleet_health()
@@ -96,7 +95,7 @@ def _run_campaign(faults=None, *, workers=4, planner="cost", memo=True,
             CampaignConfig(n_checks=60, population_size=30, seed=11,
                            start_day=0, end_day=4),
             exec_config=ExecConfig(
-                workers=workers, mode="process", planner=planner,
+                workers=workers, mode="process",
                 max_worker_restarts=max_restarts,
             ),
         )
@@ -409,24 +408,22 @@ class TestFaultPlan:
 # ----------------------------------------------------------------------
 @pytest.mark.slow
 class TestChaosGrid:
-    """Any single worker, any fault point, any planner x memo cell."""
+    """Any single worker, any fault point, any memo cell."""
 
     def test_any_single_worker_kill_is_byte_identical(self):
         for memo in (True, False):
             reference, ref_stats, _ = _run_campaign(memo=memo)
-            for planner in ("cost", "stable"):
-                for victim in range(4):
-                    point = KILL_FAULTS[victim % len(KILL_FAULTS)]
-                    chaotic, stats, health = _run_campaign(
-                        [(victim, 0, point)], planner=planner, memo=memo,
-                    )
-                    context = (f"planner={planner} memo={memo} "
-                               f"victim={victim} point={point}")
-                    assert chaotic == reference, f"{context}: bytes differ"
-                    assert stats == ref_stats, (
-                        f"{context}: fleet memo counters differ"
-                    )
-                    assert health["restarts"] == 1, context
+            for victim in range(4):
+                point = KILL_FAULTS[victim % len(KILL_FAULTS)]
+                chaotic, stats, health = _run_campaign(
+                    [(victim, 0, point)], memo=memo,
+                )
+                context = f"memo={memo} victim={victim} point={point}"
+                assert chaotic == reference, f"{context}: bytes differ"
+                assert stats == ref_stats, (
+                    f"{context}: fleet memo counters differ"
+                )
+                assert health["restarts"] == 1, context
 
     def test_multi_day_multi_fault_crawl_is_byte_identical(self):
         reference, _ = _run_crawl(days=3, workers=3)
