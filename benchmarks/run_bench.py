@@ -775,7 +775,9 @@ def bench_campaign_resume(
     Four subprocess-isolated runs of the real ``run_campaign``:
 
     * a *plain* and a *checkpointed* run at ``n_checks // 10`` measure
-      the steady-state checkpointing tax (fsync'd day-segments);
+      the steady-state checkpointing tax (fsync'd day-segments); both run
+      the same schedule, so their outputs must be byte-identical and the
+      tax is pure disk cost;
     * a checkpointed *reference* at full ``n_checks``;
     * the same run SIGKILLed mid-manifest-append at the day-``days//2``
       boundary, then *resumed* to completion in a fresh process.
@@ -792,10 +794,16 @@ def bench_campaign_resume(
     with tempfile.TemporaryDirectory(prefix="bench_resume_") as tmp:
         tmp_path = Path(tmp)
         tax_checks = max(n_checks // 10, 2000)
-        plain = _campaign_resume_run(tax_checks, days, None)
-        taxed = _campaign_resume_run(
-            tax_checks, days, str(tmp_path / "tax")
+        plain = _campaign_resume_run(
+            tax_checks, days, None, out_path=str(tmp_path / "plain.jsonl")
         )
+        taxed = _campaign_resume_run(
+            tax_checks, days, str(tmp_path / "tax"),
+            out_path=str(tmp_path / "tax.jsonl"),
+        )
+        # One schedule: the tax is pure disk cost, never different bytes.
+        if taxed["digest"] != plain["digest"]:
+            raise RuntimeError("checkpointed campaign diverged from plain bytes")
 
         reference = _campaign_resume_run(
             n_checks, days, str(tmp_path / "ref"),

@@ -1,8 +1,9 @@
 """Kill-safe runs: day-segment spill, fsync'd manifests, exact resume.
 
-Campaigns and crawls passed a ``checkpoint_dir`` spill each completed
-day-segment to disk (columnar JSONL, the :mod:`repro.io` layout) behind a
-fsync'd manifest; ``resume=True`` regrows the world from its
+Campaigns and crawls run day by day on one schedule
+(:func:`run_day_segments`); passed a ``checkpoint_dir`` they also spill
+each completed day-segment to disk (columnar JSONL, the :mod:`repro.io`
+layout) behind a fsync'd manifest; ``resume=True`` regrows the world from its
 :class:`~repro.ecommerce.world.WorldSpec`, restores every mutable cursor
 (:mod:`repro.checkpoint.state`), skips committed segments, and continues
 to output byte-identical to an uninterrupted run.  See
@@ -28,7 +29,11 @@ from repro.checkpoint.manifest import (
     SegmentDigestError,
     SegmentMissingError,
 )
-from repro.checkpoint.runner import RunCheckpoint, run_fingerprint
+from repro.checkpoint.runner import (
+    RunCheckpoint,
+    run_day_segments,
+    run_fingerprint,
+)
 from repro.checkpoint.state import (
     capture_run_state,
     decode_state,
@@ -56,5 +61,6 @@ __all__ = [
     "encode_state",
     "install_barrier_hook",
     "restore_run_state",
+    "run_day_segments",
     "run_fingerprint",
 ]

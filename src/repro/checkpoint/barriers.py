@@ -14,7 +14,7 @@ marks a moment where a kill leaves a distinct on-disk state.
 ==========================  =============================================
 name                        the world a kill leaves behind
 ==========================  =============================================
-``mid-day``                 per streamed report: the segment exists only
+``mid-day``                 per streamed row: the segment exists only
                             in memory, nothing on disk changed
 ``segment-flush``           the segment tmp file is written but not yet
                             fsync'd/renamed: a ``*.tmp`` orphan

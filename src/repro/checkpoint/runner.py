@@ -28,6 +28,9 @@ through ``append_segment`` (peak memory: spine + one segment), and hands
 the last state snapshot to :func:`repro.checkpoint.state.restore_run_state`.
 Any missing or digest-mismatched file fails loudly with a named
 :class:`~repro.checkpoint.manifest.CheckpointError` subclass.
+
+:func:`run_day_segments` is the one day-by-day schedule campaigns and
+crawls run on, with or without a checkpoint directory.
 """
 
 from __future__ import annotations
@@ -35,15 +38,17 @@ from __future__ import annotations
 import dataclasses
 import json
 from pathlib import Path
-from typing import TYPE_CHECKING, Optional, Union
+from typing import TYPE_CHECKING, Callable, Optional, Sequence, Union
 
 from repro.checkpoint.barriers import (
+    MID_DAY,
     SEGMENT_COMMITTED,
     SEGMENT_FLUSH,
     barrier,
 )
 from repro.checkpoint.manifest import (
     CheckpointError,
+    CheckpointMismatchError,
     Manifest,
     SegmentDigestError,
     SegmentMissingError,
@@ -57,7 +62,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.crawler.records import CrawlDataset
     from repro.crowd.dataset import CrowdDataset
 
-__all__ = ["RunCheckpoint", "run_fingerprint"]
+__all__ = ["RunCheckpoint", "run_day_segments", "run_fingerprint"]
 
 #: Run kinds a checkpoint directory can hold, and the repro.io dataset
 #: kind each one's segments are saved as.
@@ -239,3 +244,71 @@ class RunCheckpoint:
             record["state_file"], record["state_sha256"]
         )
         return decode_state(json.loads(path.read_text(encoding="utf-8")))
+
+
+def run_day_segments(
+    days: Sequence[int],
+    run_day: Callable[[int, Callable[[object], None]], None],
+    *,
+    kind: str,
+    fingerprint: dict,
+    capture_state: Callable[[], dict],
+    restore_state: Callable[[dict], None],
+    checkpoint_dir: Optional[Union[str, Path]] = None,
+    resume: bool = False,
+) -> "Union[CrawlDataset, CrowdDataset]":
+    """Run a campaign or crawl day by day; return its dataset.
+
+    ``run_day(day, sink)`` runs one day of ``days`` and passes each of
+    its dataset rows to ``sink`` in order.  The rows land in a staging
+    dataset that is folded into the result through ``append_segment``
+    once the day is done.
+
+    With ``checkpoint_dir`` each finished day is also committed to disk
+    together with ``capture_state()``.  ``resume=True`` then checks that
+    the committed days are a prefix of ``days``, folds them back in,
+    hands the last state to ``restore_state`` and runs only the rest.
+    Without a directory nothing reaches disk and nothing else changes:
+    the schedule, and so the bytes, are the same either way.
+    """
+    if kind == "campaign":
+        from repro.crowd.dataset import CrowdDataset as new_dataset
+    else:
+        from repro.crawler.records import CrawlDataset as new_dataset
+    dataset = new_dataset()
+    checkpoint = None
+    if checkpoint_dir is not None:
+        checkpoint = RunCheckpoint.open(
+            checkpoint_dir, kind=kind, fingerprint=fingerprint, resume=resume
+        )
+        committed = checkpoint.committed
+        if len(committed) > len(days):
+            raise CheckpointMismatchError(
+                f"checkpoint holds {len(committed)} segments, {kind} only "
+                f"has {len(days)} days"
+            )
+        for record, day in zip(committed, days):
+            if record["day"] != day:
+                raise CheckpointMismatchError(
+                    f"checkpoint segment {record['seq']} covers day "
+                    f"{record['day']}, {kind} expects day {day}"
+                )
+        checkpoint.fold_into(dataset)
+        state = checkpoint.load_last_state()
+        if state is not None:
+            restore_state(state)
+        days = days[len(committed):]
+    for day in days:
+        staging = new_dataset()
+
+        def sink(row) -> None:
+            barrier(MID_DAY)
+            staging.add(row)
+
+        run_day(day, sink)
+        if checkpoint is not None:
+            checkpoint.commit_segment(
+                day=day, dataset=staging, state=capture_state()
+            )
+        dataset.append_segment(staging)
+    return dataset

@@ -21,12 +21,9 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Optional, Union
 
 from repro.checkpoint import (
-    MID_DAY,
-    CheckpointMismatchError,
-    RunCheckpoint,
-    barrier,
     capture_run_state,
     restore_run_state,
+    run_day_segments,
     run_fingerprint,
 )
 from repro.core.backend import CheckRequest, SheriffBackend
@@ -108,9 +105,10 @@ def run_crawl(
     ``checkpoint_dir`` makes the crawl kill-safe: each completed day is
     durably committed (dataset shard + run state) before the next starts,
     and ``resume=True`` against a freshly built world and the same plan
-    skips committed days -- see :mod:`repro.checkpoint`.  The crawl is
-    already day-batched, so checkpointed and non-checkpointed crawls are
-    byte-identical to each other.
+    skips committed days -- see :mod:`repro.checkpoint`.  The crawl runs
+    on the same day-segment schedule
+    (:func:`~repro.checkpoint.runner.run_day_segments`) either way, so
+    plain, checkpointed and resumed crawls are byte-identical.
     """
     config = config or CrawlConfig()
     if not plan.targets:
@@ -118,83 +116,45 @@ def run_crawl(
     if exec_config is not None and executor is not None:
         raise ValueError("pass exec_config or executor, not both")
 
-    checkpoint = None
-    start_offset = 0
-    if checkpoint_dir is not None:
-        checkpoint = RunCheckpoint.open(
-            checkpoint_dir,
+    owned = exec_config.create(world) if exec_config is not None else None
+    active = executor if executor is not None else owned
+
+    def crawl_day(day: int, sink) -> None:
+        day_start = day * SECONDS_PER_DAY
+        if day_start > world.clock.now:
+            world.clock.advance_to(day_start)
+        # One batched submission per day: the backend amortizes URL
+        # parsing and the FX guard across the day's burst while keeping
+        # each check's fan-out (and the virtual timeline) identical to a
+        # sequential loop.  The day's merged reports stream straight into
+        # the sink (plan order) -- no intermediate report list.
+        requests = [
+            CheckRequest(url=url, anchor=target.anchor, origin="crawler")
+            for target in plan.targets
+            for url in target.product_urls
+        ]
+        backend.check_batch(
+            requests,
+            pacing_seconds=config.pacing_seconds,
+            executor=active,
+            sink=sink,
+        )
+
+    try:
+        return run_day_segments(
+            range(config.start_day, config.start_day + config.days),
+            crawl_day,
             kind="crawl",
             fingerprint=run_fingerprint(
                 "crawl", world.config, config, plan=plan_digest(plan)
             ),
+            capture_state=lambda: capture_run_state(world, backend),
+            restore_state=lambda state: restore_run_state(
+                state, world, backend
+            ),
+            checkpoint_dir=checkpoint_dir,
             resume=resume,
         )
-        committed = checkpoint.committed
-        if len(committed) > config.days:
-            raise CheckpointMismatchError(
-                f"checkpoint holds {len(committed)} segments, crawl only "
-                f"has {config.days} days"
-            )
-        for offset, record in enumerate(committed):
-            if record["day"] != config.start_day + offset:
-                raise CheckpointMismatchError(
-                    f"checkpoint segment {record['seq']} covers day "
-                    f"{record['day']}, crawl expects day "
-                    f"{config.start_day + offset}"
-                )
-        start_offset = len(committed)
-
-    owned = exec_config.create(world) if exec_config is not None else None
-    active = executor if executor is not None else owned
-    dataset = CrawlDataset()
-    if checkpoint is not None:
-        checkpoint.fold_into(dataset)
-        state = checkpoint.load_last_state()
-        if state is not None:
-            restore_run_state(state, world, backend)
-    try:
-        for day_offset in range(start_offset, config.days):
-            day_start = (config.start_day + day_offset) * SECONDS_PER_DAY
-            if day_start > world.clock.now:
-                world.clock.advance_to(day_start)
-            # One batched submission per day: the backend amortizes URL
-            # parsing and the FX guard across the day's burst while keeping
-            # each check's fan-out (and the virtual timeline) identical to
-            # a sequential loop.
-            requests = [
-                CheckRequest(url=url, anchor=target.anchor, origin="crawler")
-                for target in plan.targets
-                for url in target.product_urls
-            ]
-            # Stream the day's merged reports straight into the dataset's
-            # columnar spine (plan order) -- no intermediate report list.
-            if checkpoint is None:
-                backend.check_batch(
-                    requests,
-                    pacing_seconds=config.pacing_seconds,
-                    executor=active,
-                    sink=dataset.add,
-                )
-                continue
-            staging = CrawlDataset()
-
-            def sink(report) -> None:
-                barrier(MID_DAY)
-                staging.add(report)
-
-            backend.check_batch(
-                requests,
-                pacing_seconds=config.pacing_seconds,
-                executor=active,
-                sink=sink,
-            )
-            checkpoint.commit_segment(
-                day=config.start_day + day_offset,
-                dataset=staging,
-                state=capture_run_state(world, backend),
-            )
-            dataset.append_segment(staging)
     finally:
         if owned is not None:
             owned.close()
-    return dataset

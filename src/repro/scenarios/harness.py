@@ -189,8 +189,7 @@ def run_scenario_crawl(
                 ),
                 executor=executor,
             )
-            for report in day.reports:
-                dataset.add(report)
+            dataset.append_segment(day)
     finally:
         if executor is not None:
             executor.close()

@@ -76,7 +76,9 @@ class JobSpec:
                 if not isinstance(value, int) or isinstance(value, bool):
                     raise ValueError(f"{field} must be an integer")
                 values[field] = value
-        return cls(**values)
+        spec = cls(**values)
+        spec.campaign_config()  # range checks (CampaignConfig raises)
+        return spec
 
     def to_dict(self) -> dict:
         """JSON form; omits unset overrides so job.json stays minimal."""

@@ -40,6 +40,7 @@ from repro.crawler.crawl import CrawlConfig, plan_digest, run_crawl
 from repro.crawler.plan import build_plan
 from repro.crowd.campaign import CampaignConfig, run_campaign
 from repro.ecommerce.world import WorldConfig, build_world
+from repro.exec import ExecConfig
 
 WORLD_CONFIG = WorldConfig(catalog_scale=0.15, long_tail_domains=8)
 CAMPAIGN_CONFIG = CampaignConfig(
@@ -444,6 +445,40 @@ class TestCampaignResume:
             checkpoint_dir=tmp_path / "ref",
         )
         return crowd_bytes(full, tmp_path / "ref.jsonl")
+
+    def test_checkpointed_campaign_matches_plain_and_resumes(
+        self, tmp_path: Path, clean_hook
+    ):
+        """One schedule: a checkpoint directory decides only whether
+        day-segments reach disk, never the bytes -- inline or sharded
+        across worker processes, uninterrupted or resumed."""
+        world, backend = fresh_pair()
+        plain = run_campaign(world, backend, CAMPAIGN_CONFIG)
+        reference = crowd_bytes(plain, tmp_path / "plain.jsonl")
+
+        world, backend = fresh_pair()
+        sharded = run_campaign(
+            world, backend, CAMPAIGN_CONFIG,
+            exec_config=ExecConfig(workers=2, mode="process"),
+        )
+        assert crowd_bytes(sharded, tmp_path / "sharded.jsonl") == reference
+
+        assert self.reference_bytes(tmp_path) == reference
+
+        install_barrier_hook(interrupt_after_segments(2))
+        world, backend = fresh_pair()
+        with pytest.raises(InterruptRun):
+            run_campaign(
+                world, backend, CAMPAIGN_CONFIG,
+                checkpoint_dir=tmp_path / "ckpt",
+            )
+        install_barrier_hook(None)
+        world, backend = fresh_pair()
+        resumed = run_campaign(
+            world, backend, CAMPAIGN_CONFIG,
+            checkpoint_dir=tmp_path / "ckpt", resume=True,
+        )
+        assert crowd_bytes(resumed, tmp_path / "resumed.jsonl") == reference
 
     def test_interrupted_campaign_resumes_byte_identical(
         self, tmp_path: Path, clean_hook

@@ -161,6 +161,26 @@ class TestRouteContract:
         assert status == 400
         assert "unknown campaign spec field" in json.loads(body)["error"]
 
+    @pytest.mark.parametrize("spec, message", [
+        ({"n_checks": 0}, "n_checks must be positive"),
+        ({"start_day": 5, "end_day": 5}, "campaign window must be non-empty"),
+        ({"population_size": 0}, "population_size must be positive"),
+    ])
+    def test_campaign_out_of_range_spec_is_400(
+        self, served, caplog, spec, message
+    ):
+        """Range errors are caught before the job is persisted: a named
+        400, no traceback, and no job directory left to relaunch."""
+        service, client = served
+        root = service.registry.root
+        before = sorted(root.iterdir()) if root.exists() else []
+        with caplog.at_level(logging.ERROR, logger="repro.serve"):
+            status, body = client.post("/campaigns", spec)
+        assert status == 400
+        assert json.loads(body) == {"error": message}
+        assert not caplog.records
+        assert (sorted(root.iterdir()) if root.exists() else []) == before
+
     def test_unknown_routes_are_404(self, served):
         _, client = served
         assert client.get("/jobs/job-999999")[0] == 404
